@@ -76,13 +76,18 @@ def _select_pivots(block: np.ndarray, leaf_kernel: str) -> np.ndarray:
     The input is never modified — callers forward the original rows up
     the reduction tree, so the factored values must not leak into the
     candidate sets.
+
+    A block holding a NaN or infinity is always selected by ``getf2``:
+    its ``argmax`` elects the non-finite row, which puts it among the
+    candidates where the health guards see it.  LAPACK's ``idamax``
+    never elects a NaN, so ``dgetrf`` would return clean-looking
+    candidates and the corruption would pass the tournament unseen.
     """
     rows, cols = block.shape
-    work = block.copy()
-    if leaf_kernel == "rgetf2" and rows >= cols:
-        piv = rgetf2(work)
+    if leaf_kernel == "rgetf2" and rows >= cols and np.isfinite(block).all():
+        piv = rgetf2(np.array(block, order="F"))
     else:
-        piv = getf2(work)
+        piv = getf2(block.copy())
     perm = piv_to_perm(piv, rows)
     return perm[: min(rows, cols)]
 

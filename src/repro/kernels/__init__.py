@@ -2,9 +2,16 @@
 
 This subpackage plays the role MKL/ACML/LAPACK play in the paper: it is
 the sequential kernel layer every algorithm (communication-avoiding or
-baseline) is built from.  Everything is implemented from scratch on top
-of NumPy array primitives; each kernel reports its flop count to
-:mod:`repro.counters`.
+baseline) is built from.  As in the paper, the panel and solve kernels
+are the vendor library's: ``rgetf2``, ``getf2_nopiv``, ``trsm_llnu``,
+``trsm_runn``, ``geqr3`` and ``tpqrt`` call LAPACK/BLAS (``dgetrf``,
+``dtrsm``, ``dgeqrt``, ``dtpqrt``) through :mod:`scipy.linalg.lapack`,
+and ``gemm``/``larfb``/``tpmqrt`` are NumPy matrix products (BLAS3).
+The BLAS2 baselines the paper measures against (``getf2``, ``geqr2``,
+``larft``) and PLASMA's ``tstrf``/``ssssm`` are written out on NumPy
+array primitives.  Each kernel reports its flop count to
+:mod:`repro.counters`; the LAPACK-backed ones report the closed forms
+of :mod:`repro.analysis.flops`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
 listings is direct: ``getf2`` (BLAS2 LU), ``rgetf2`` (recursive LU, the

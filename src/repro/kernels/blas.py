@@ -1,9 +1,9 @@
 """BLAS-like primitives with flop accounting.
 
-The heavy lifting is delegated to NumPy's vectorized operations (the
+``gemm``, ``ger`` and ``laswp`` are NumPy array expressions (the
 HPC-Python idiom: never loop over matrix elements in Python when a
-single array expression does the job), but the *algorithms* built on
-top of these primitives are entirely our own.
+single array expression does the job); the triangular solves call
+BLAS ``dtrsm``.
 
 Flop conventions (LAPACK working-note style, real double precision):
 
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.flops import trsm_left_flops, trsm_right_flops
 from repro.counters import add_call, add_flops, add_words
+from repro.kernels._lapack import dtrsm, fortran_work, write_back
 
 __all__ = ["gemm", "trsm_llnu", "trsm_runn", "ger", "laswp", "scal_axpy_col"]
 
@@ -65,20 +67,16 @@ def trsm_llnu(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``L X = B`` in place in ``B`` — Left, Lower, No-transpose, Unit diagonal.
 
     Used for computing a block row of U (``task U``):
-    ``U_{K,J} = L_{KK}^{-1} A_{K,J}``.
-
-    Implemented by forward substitution over rows, each step a
-    vectorized rank-update of the remaining rows.
+    ``U_{K,J} = L_{KK}^{-1} A_{K,J}``.  Reads only the strictly lower
+    triangle of ``L``.  Solved as the transposed system
+    ``X^T L^T = B^T``.
     """
     k = L.shape[0]
     if L.shape != (k, k) or B.shape[0] != k:
         raise ValueError(f"trsm_llnu shape mismatch: L{L.shape}, B{B.shape}")
-    n = B.shape[1]
     add_call("trsm_llnu")
-    add_flops(k * (k - 1) * n)  # k-1 axpy rows of length n, twice per flop pair
-    for i in range(1, k):
-        # B[i] -= L[i, :i] @ B[:i]  (unit diagonal, no division)
-        B[i] -= L[i, :i] @ B[:i]
+    add_flops(trsm_left_flops(k, B.shape[1]))
+    _solve_right_upper(L.T, B.T, unit=True)
     return B
 
 
@@ -86,19 +84,29 @@ def trsm_runn(U: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``X U = B`` in place in ``B`` — Right, Upper, No-transpose, Non-unit.
 
     Used for computing a block column of L (``task L``):
-    ``L_{I,K} = A_{I,K} U_{KK}^{-1}``.
+    ``L_{I,K} = A_{I,K} U_{KK}^{-1}``.  Reads only the upper triangle of
+    ``U``.
     """
     k = U.shape[0]
     if U.shape != (k, k) or B.shape[1] != k:
         raise ValueError(f"trsm_runn shape mismatch: U{U.shape}, B{B.shape}")
-    m = B.shape[0]
     add_call("trsm_runn")
-    add_flops(m * k * k)  # m·k divisions + m·k·(k-1) mul-adds
-    for j in range(k):
-        if j:
-            B[:, j] -= B[:, :j] @ U[:j, j]
-        B[:, j] /= U[j, j]
+    add_flops(trsm_right_flops(B.shape[0], k))
+    _solve_right_upper(U, B, unit=False)
     return B
+
+
+def _solve_right_upper(U: np.ndarray, B: np.ndarray, unit: bool) -> None:
+    """``dtrsm`` for ``X U = B`` with ``U`` upper triangular, in place in ``B``.
+
+    Both triangular solves are run in this orientation: it is the one
+    OpenBLAS's ``dtrsm`` is fastest in (about 1.3-2x the left-lower
+    kernel at the task shapes), and a row-major ``B`` passed as ``B^T``
+    is already column-major.
+    """
+    if B.size:
+        X = dtrsm(1.0, fortran_work(U), fortran_work(B), side=1, diag=int(unit), overwrite_b=1)
+        write_back(B, X)
 
 
 def ger(A: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float = -1.0) -> np.ndarray:

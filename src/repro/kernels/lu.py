@@ -9,7 +9,8 @@ Three variants, mirroring the routines the paper names:
 ``rgetf2``
     Recursive LU with partial pivoting (Toledo 1997; Gustavson 1997) —
     the paper's preferred *sequential* kernel inside TSLU tasks
-    ("the best results are obtained by using recursive LU").
+    ("the best results are obtained by using recursive LU"), run as
+    LAPACK ``dgetrf``.
 ``getrf``
     Blocked right-looking LU — the structure of the vendor ``dgetrf``
     the paper compares against.
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.flops import lu_flops, lu_panel_flops
 from repro.counters import add_call, add_comparisons, add_flops
+from repro.kernels._lapack import dgetrf, dtrsm, fortran_work, write_back
 from repro.kernels.blas import gemm, ger, laswp, trsm_llnu
 
 __all__ = ["getf2", "getf2_nopiv", "rgetf2", "getrf", "piv_to_perm", "perm_from_piv_rows"]
@@ -60,52 +63,72 @@ def getf2(A: np.ndarray) -> np.ndarray:
 
 
 def getf2_nopiv(A: np.ndarray) -> None:
-    """Unblocked LU *without* pivoting, in place.
+    """LU *without* pivoting, in place.
 
     Used on a panel whose tournament-selected pivot rows have already
-    been swapped to the top: CALU's second TSLU step.
+    been swapped to the top: CALU's second TSLU step.  LAPACK has no
+    unpivoted ``getrf``, so this splits the columns in half recursively
+    (Toledo's scheme without the pivot search) and hands the off-diagonal
+    work to ``dtrsm`` and ``dgemm``.  Raises :class:`ZeroDivisionError`
+    on an exactly zero pivot, leaving ``A`` unchanged.
     """
     m, n = A.shape
     add_call("getf2_nopiv")
-    for j in range(min(m, n)):
-        if A[j, j] == 0.0:
-            raise ZeroDivisionError(f"zero pivot at {j} in no-pivoting LU")
-        add_flops(m - j - 1)
-        A[j + 1 :, j] /= A[j, j]
-        if j + 1 < n:
-            ger(A[j + 1 :, j + 1 :], A[j + 1 :, j], A[j, j + 1 :])
+    add_flops(lu_flops(m, n))
+    if A.size == 0:
+        return
+    W = fortran_work(A)
+    _lu_nopiv(W, 0)
+    write_back(A, W)
 
 
-def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
-    """Recursive LU with partial pivoting (Toledo), in place. Returns ``piv``.
+def _lu_nopiv(W: np.ndarray, j0: int) -> None:
+    """Recursive unpivoted LU of the Fortran-ordered *W*; *j0* is its global column offset."""
+    m, n = W.shape
+    r = min(m, n)
+    if r == 1:
+        if W[0, 0] == 0.0:
+            raise ZeroDivisionError(f"zero pivot at {j0} in no-pivoting LU")
+        W[1:, 0] /= W[0, 0]
+        return
+    n1 = r // 2
+    _lu_nopiv(W[:, :n1], j0)
+    # U12 <- L11^{-1} A12 and A22 <- A22 - L21 U12; both blocks are
+    # column-major windows of W, so numpy's matmul calls dgemm on them
+    # directly while dtrsm takes (and returns) a contiguous copy.
+    U12 = W[:n1, n1:]
+    write_back(U12, dtrsm(1.0, W[:n1, :n1], U12, lower=1, diag=1))
+    W[n1:, n1:] -= W[n1:, :n1] @ U12
+    _lu_nopiv(W[n1:, n1:], j0 + n1)
 
-    Splits the columns in half, factors the left half recursively,
-    applies pivots and a triangular solve to the right half, updates,
-    and factors the trailing part recursively.  Recursion turns almost
-    all the work into ``gemm`` calls, giving BLAS3 cache behaviour
-    without an explicit block size — the property the paper exploits to
-    make each TSLU leaf task fast.
+
+def rgetf2(A: np.ndarray) -> np.ndarray:
+    """Recursive LU with partial pivoting, in place. Returns ``piv``.
+
+    LAPACK ``dgetrf``: its panel factorization splits the columns in
+    half recursively (Toledo 1997; Gustavson 1997), so almost all the
+    work becomes ``gemm`` calls and gets BLAS3 cache behaviour without
+    an explicit block size — the property the paper exploits to make
+    each TSLU leaf task fast.  An exactly zero pivot column is left in
+    place (LAPACK's ``info > 0``), matching :func:`getf2`.
 
     Parameters
     ----------
     A : (m, n) array with ``m >= n``.
-    threshold : column count below which to fall back to ``getf2``.
     """
     m, n = A.shape
     if m < n:
         raise ValueError(f"rgetf2 requires m >= n, got {A.shape}")
     add_call("rgetf2")
-    if n <= threshold:
-        return getf2(A)
-    n1 = n // 2
-    left, right = A[:, :n1], A[:, n1:]
-    piv1 = rgetf2(left, threshold)
-    laswp(right, piv1)
-    trsm_llnu(_unit_lower(left[:n1]), right[:n1])
-    gemm(right[n1:], left[n1:], right[:n1])
-    piv2 = rgetf2(right[n1:], threshold)
-    laswp(left[n1:], piv2)
-    return np.concatenate([piv1, piv2 + n1])
+    add_flops(lu_panel_flops(m, n))
+    add_comparisons(n * m - n * (n + 1) // 2)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    lu, piv, info = dgetrf(fortran_work(A), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal value in argument {-info}")
+    write_back(A, lu)
+    return piv.astype(np.int64)
 
 
 def getrf(A: np.ndarray, b: int = 64, panel: str = "getf2") -> np.ndarray:

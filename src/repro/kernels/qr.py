@@ -13,8 +13,9 @@ Algorithm 2 is direct:
     update of Algorithm 2 (task S).
 ``geqr3``
     Recursive QR (Elmroth & Gustavson 1998) — the paper's preferred
-    sequential kernel inside TSQR tasks (``dgeqr3``); returns ``T``
-    directly so tree nodes can apply the block reflector immediately.
+    sequential kernel inside TSQR tasks (``dgeqr3``), run as LAPACK
+    ``dgeqrt``; returns ``T`` directly so tree nodes can apply the block
+    reflector immediately.
 ``geqrf``
     Blocked QR — the structure of vendor ``dgeqrf``.
 
@@ -28,7 +29,9 @@ import math
 
 import numpy as np
 
+from repro.analysis.flops import qr_panel_flops
 from repro.counters import add_call, add_flops
+from repro.kernels._lapack import dgeqrt, fortran_work, write_back
 
 __all__ = [
     "larfg",
@@ -130,38 +133,30 @@ def larfb_left_t(V: np.ndarray, T: np.ndarray, C: np.ndarray) -> np.ndarray:
     return C
 
 
-def geqr3(A: np.ndarray, threshold: int = 8) -> np.ndarray:
+def geqr3(A: np.ndarray) -> np.ndarray:
     """Recursive QR (Elmroth-Gustavson), in place. Returns the ``n x n`` ``T``.
 
-    Splits the columns in half, factors the left half recursively,
-    applies its block reflector to the right half, factors the trailing
-    part, and merges the two ``T`` factors:
+    LAPACK ``dgeqrt`` with one block of all ``n`` columns, i.e. a single
+    ``dgeqrt3``: split the columns in half, factor the left half
+    recursively, apply its block reflector to the right half, factor
+    the trailing part, and merge the two ``T`` factors as
     ``T_12 = -T_1 (V_1^T V_2) T_2``.  Almost all flops become BLAS3,
     which is why the paper picks it ("the best results are obtained by
-    using recursive ... QR [10]").
+    using recursive ... QR [10]").  ``T`` comes back C-contiguous, like
+    every other array the task bodies store.
     """
     m, n = A.shape
     if m < n:
         raise ValueError(f"geqr3 requires m >= n, got {A.shape}")
     add_call("geqr3")
-    if n <= threshold:
-        tau = geqr2(A)
-        return larft(extract_v(A), tau)
-    n1 = n // 2
-    T1 = geqr3(A[:, :n1], threshold)
-    V1 = extract_v(A[:, :n1])
-    larfb_left_t(V1, T1, A[:, n1:])
-    T2 = geqr3(A[n1:, n1:], threshold)
-    V2 = extract_v(A[n1:, n1:])
-    n2 = n - n1
-    # T12 = -T1 (V1^T V2) T2, using only the rows where V2 is nonzero.
-    add_flops(2 * (m - n1) * n1 * n2 + 2 * n1 * n1 * n2 + 2 * n1 * n2 * n2)
-    T12 = -T1 @ (V1[n1:].T @ V2) @ T2
-    T = np.zeros((n, n))
-    T[:n1, :n1] = T1
-    T[:n1, n1:] = T12
-    T[n1:, n1:] = T2
-    return T
+    add_flops(qr_panel_flops(m, n))
+    if n == 0:
+        return np.zeros((0, 0))
+    qr, T, info = dgeqrt(n, fortran_work(A), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dgeqrt: illegal value in argument {-info}")
+    write_back(A, qr)
+    return np.ascontiguousarray(T)
 
 
 def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:

@@ -8,7 +8,8 @@ Triangular-pentagonal QR (``tpqrt`` / ``tpmqrt_left_t``)
     of the Householder vectors (``V = [I; V_b]``).  With a dense bottom
     block this is PLASMA's ``DTSQRT``; with a triangular bottom block
     (``bottom_triangular=True``) it is the ``[R_i; R_j]`` merge kernel
-    of the TSQR reduction tree (PLASMA's ``DTTQRT``).
+    of the TSQR reduction tree (PLASMA's ``DTTQRT``).  Both run as
+    LAPACK ``dtpqrt``.
 
 Incremental-pivoting LU (``tstrf`` / ``ssssm_apply``)
     LU of a ``b x b`` upper-triangular tile stacked on an ``m x b``
@@ -21,12 +22,13 @@ Incremental-pivoting LU (``tstrf`` / ``ssssm_apply``)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.flops import tpqrt_ts_flops, tpqrt_tt_flops
 from repro.counters import add_call, add_comparisons, add_flops
+from repro.kernels._lapack import dtpqrt, fortran_work, write_back
 
 __all__ = ["tpqrt", "tpmqrt_left_t", "tstrf", "ssssm_apply", "TstrfOps"]
 
@@ -37,54 +39,48 @@ def tpqrt(R: np.ndarray, B: np.ndarray, bottom_triangular: bool = False) -> np.n
     On exit ``R`` holds the new ``R`` factor and ``B`` holds the bottom
     parts ``V_b`` of the Householder vectors (the top parts form the
     identity and are implicit).  ``Q = I - [I; V_b] T [I; V_b]^T``.
+    LAPACK ``dtpqrt`` with one block of all ``b`` columns, so ``T`` is
+    the full ``b x b`` compact-WY factor (C-contiguous).
+
+    Only the upper triangle of ``R`` is read or written — below it the
+    tile may hold another task's Householder vectors — and likewise only
+    the upper trapezoid of a triangular ``B``.
 
     Parameters
     ----------
     R : (b, b) upper triangular, overwritten with the merged ``R``.
-    B : (m, b); dense (``DTSQRT``) or upper triangular
+    B : (m, b); dense (``DTSQRT``, ``l = 0``) or upper triangular
         (``bottom_triangular=True``, the TSQR tree-node ``DTTQRT``
-        case, where column ``j`` of ``B`` only has rows ``0..j``).
+        case, ``l = b``, where column ``j`` of ``B`` only has rows
+        ``0..j``).
     """
     b = R.shape[0]
     m = B.shape[0]
     if R.shape != (b, b) or B.shape[1] != b:
         raise ValueError(f"tpqrt shape mismatch: R{R.shape}, B{B.shape}")
-    add_call("tpqrt_tt" if bottom_triangular else "tpqrt_ts")
-    tau = np.zeros(b)
-    T = np.zeros((b, b))
-    for j in range(b):
-        nr = min(j + 1, m) if bottom_triangular else m
-        alpha = float(R[j, j])
-        u = B[:nr, j]
-        xnorm = float(np.linalg.norm(u))
-        add_flops(2 * nr)
-        if xnorm == 0.0:
-            T[j, j] = 0.0
-            continue
-        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-        tau[j] = (beta - alpha) / beta
-        u /= alpha - beta
-        R[j, j] = beta
-        if j + 1 < b:
-            # w = R[j, j+1:] + u^T B[:nr, j+1:]; reflect row j of R and B.
-            w = R[j, j + 1 :] + u @ B[:nr, j + 1 :]
-            add_flops(4 * nr * (b - j - 1))
-            R[j, j + 1 :] -= tau[j] * w
-            B[:nr, j + 1 :] -= tau[j] * np.outer(u, w)
-        # Accumulate column j of T: T[:j, j] = -tau_j T[:j, :j] (V_b[:, :j]^T v_j)
-        if j > 0 and tau[j] != 0.0:
-            prev = B[:nr, :j]
-            if bottom_triangular:
-                # Reflector i has a tail of length i+1; entries of the
-                # storage below that (strictly lower triangular) are not
-                # part of V_b and may hold unrelated data when operating
-                # on in-place views — mask them out.
-                prev = np.triu(prev)
-            w = prev.T @ u
-            add_flops(2 * nr * j + j * j)
-            T[:j, j] = -tau[j] * (T[:j, :j] @ w)
-        T[j, j] = tau[j]
-    return T
+    if bottom_triangular:
+        add_call("tpqrt_tt")
+        add_flops(tpqrt_tt_flops(b))
+        # Rows at and below b are structurally zero: leave them alone.
+        B = B[: min(m, b)]
+        m = l = B.shape[0]
+    else:
+        add_call("tpqrt_ts")
+        add_flops(tpqrt_ts_flops(m, b))
+        l = 0
+    if b == 0 or m == 0:
+        return np.zeros((b, b))
+    r, v, T, info = dtpqrt(l, b, fortran_work(R), fortran_work(B), overwrite_a=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"dtpqrt: illegal value in argument {-info}")
+    iu = np.triu_indices(b)
+    R[iu] = r[iu]
+    if bottom_triangular:
+        iu = np.triu_indices(m, 0, b)
+        B[iu] = v[iu]
+    else:
+        write_back(B, v)
+    return np.ascontiguousarray(T)
 
 
 def tpmqrt_left_t(

@@ -14,6 +14,7 @@ from repro.core.calu import calu
 from repro.core.caqr import caqr
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
+from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import assert_lu_ok, make_rng
 
@@ -85,6 +86,29 @@ class TestCALUDegradation:
         assert_lu_ok(A0, f.lu, f.piv)
         assert f.trace is not None and f.trace.events == []
         assert f.degraded_panels == ()
+
+
+@pytest.mark.parametrize("executor", [ThreadedExecutor, ProcessExecutor])
+def test_nan_in_one_leaf_degrades_its_panels(executor):
+    """A NaN in one tournament leaf must reach the candidates, so the
+    health guards degrade the panel.  The numpy ``getf2`` elects the NaN
+    row as a pivot; LAPACK's ``idamax`` never would, so the native leaf
+    kernel must not hide it behind clean-looking candidates."""
+    A = make_rng(3).standard_normal((400, 16))
+    A[237, 2] = np.nan  # one 100 x 8 leaf of the first panel
+    ex = executor(2)
+    try:
+        runs = {
+            k: calu(A, b=8, tr=4, executor=ex, check_finite=False, leaf_kernel=k)
+            for k in ("rgetf2", "getf2")
+        }
+    finally:
+        if isinstance(ex, ProcessExecutor):
+            ex.close()
+    for f in runs.values():
+        assert f.degraded_panels == (0, 1)
+        assert f.recovered_panels == ()
+    np.testing.assert_array_equal(np.isnan(runs["rgetf2"].lu), np.isnan(runs["getf2"].lu))
 
 
 class TestCAQRCorruption:
